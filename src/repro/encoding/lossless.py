@@ -51,7 +51,16 @@ class ZlibBackend(LosslessBackend):
         return zlib.compress(bytes(data), self.level)
 
     def decompress(self, data: bytes) -> bytes:
-        return zlib.decompress(bytes(data))
+        """Inflate exactly one complete stream; truncation or trailing bytes raise."""
+        inflater = zlib.decompressobj()
+        out = inflater.decompress(data)
+        if not inflater.eof:
+            raise ValueError("zlib section is truncated (stream has no end marker)")
+        if inflater.unused_data:
+            raise ValueError(
+                f"zlib section has {len(inflater.unused_data)} trailing bytes after the stream"
+            )
+        return out
 
 
 class RawBackend(LosslessBackend):

@@ -20,8 +20,6 @@ from repro.parallel.engine import (
 from repro.parallel.executor import (
     BlockParallelCompressor,
     BlockCompressionResult,
-    parallel_imap,
-    parallel_map,
 )
 
 __all__ = [
@@ -33,6 +31,4 @@ __all__ = [
     "default_jobs",
     "BlockParallelCompressor",
     "BlockCompressionResult",
-    "parallel_map",
-    "parallel_imap",
 ]

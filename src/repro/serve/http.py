@@ -4,9 +4,8 @@ A ``ThreadingHTTPServer`` whose request handler parses the URL and headers,
 calls :meth:`ArchiveService.dispatch`, and writes the
 :class:`~repro.serve.service.ServiceResponse` back — nothing more.  Because
 the service core owns routing, ETags, error mapping and telemetry, this
-frontend stays ~100 lines and needs only the stdlib, which keeps ``repro
-serve`` runnable (and the serve test suite + load benchmark meaningful) in
-environments without the optional FastAPI/uvicorn extra.
+frontend stays ~100 lines and needs only the stdlib, so ``repro serve``,
+the serve test suite and the load benchmark run wherever numpy does.
 
 Concurrency model: one thread per connection (``ThreadingHTTPServer``), with
 all decoded-chunk reuse delegated to the service's

@@ -4,11 +4,9 @@
 archives as HTTP-shaped request handlers: manifest listings, binary/JSON
 region reads, progressive previews, timestep and time-range reads.  The class
 itself speaks no socket protocol — every handler returns a
-:class:`ServiceResponse` (status, headers, body) that an adapter transmits:
-the stdlib threaded server in :mod:`repro.serve.http` (always available) and
-the FastAPI app in :mod:`repro.serve.app` (the optional ``[serve]`` extra)
-both delegate to the same handlers, so behaviour, error mapping and telemetry
-are identical regardless of the frontend.
+:class:`ServiceResponse` (status, headers, body) that the stdlib threaded
+server in :mod:`repro.serve.http` transmits; :meth:`ArchiveService.dispatch`
+routes a method and path to the handler.
 
 **Shared decode cache.**  Every served archive is opened with
 ``ArchiveReader(shared_cache=...)`` on one
@@ -33,7 +31,9 @@ retired reader, which is closed when its last lease drops.
 leaking 500s: unknown archive/field/timestep → 404, out-of-bounds or
 malformed regions (:class:`~repro.store.manifest.ArchiveError`) → 416,
 invalid parameters (bad ``fraction``, bad slice syntax — ``ValueError``) →
-422, CRC/framing corruption → 500 with the corruption detail.
+422, corruption (CRC/framing errors, and payloads the codec cannot decode,
+which the reader raises as
+:class:`~repro.store.manifest.ArchiveCorruptionError`) → 500 with the detail.
 
 Telemetry (``http.*``): ``http.request.count`` / ``http.request.seconds`` /
 ``http.request.bytes_out`` plus per-status ``http.request.status.<code>``
@@ -837,8 +837,7 @@ class ArchiveService:
 
         ``query`` values are plain strings (last value wins for repeats);
         ``headers`` keys are matched case-insensitively.  Used by the stdlib
-        HTTP server and by in-process callers (scenario smoke traffic); the
-        FastAPI app routes natively onto the same ``handle_*`` methods.
+        HTTP server and by in-process callers (scenario smoke traffic).
         """
         query = dict(query or {})
         lowered = {str(k).lower(): v for k, v in (headers or {}).items()}

@@ -22,13 +22,14 @@ every K steps bound random access in time), and
 - :mod:`repro.store.temporal` — the :class:`TemporalSpec` time-coding policy.
 - :mod:`repro.store.bytestore` — the :class:`ByteStore` I/O abstraction
   (file / mmap / in-memory backends) both directions read through.
-- :mod:`repro.store.shared_cache` — the process-wide
-  :class:`SharedChunkCache` with single-flight decode deduplication.
+- :mod:`repro.store.shared_cache` — :class:`SharedChunkCache`, the one
+  decoded-chunk cache (byte-budgeted LRU with single-flight decode
+  deduplication): private per reader/writer, or shared process-wide.
 - :mod:`repro.store.writer` — streaming-append :class:`ArchiveWriter` with
   parallel per-chunk compression, append/reopen mode and
   :meth:`~repro.store.writer.ArchiveWriter.add_timestep`.
 - :mod:`repro.store.reader` — random-access :class:`ArchiveReader` with
-  CRC re-verification, an LRU decompressed-chunk cache, and crash-recovery
+  CRC re-verification, a decoded-chunk cache, and crash-recovery
   opens (``recover=True``).
 - :mod:`repro.store.cli` — the ``repro`` console script
   (``pack`` / ``unpack`` / ``ls`` / ``extract`` / ``verify`` plus the
@@ -48,7 +49,7 @@ from repro.store.bytestore import (
     MmapByteStore,
     open_bytestore,
 )
-from repro.store.cache import LRUChunkCache, freeze_chunk
+from repro.store.cache import freeze_chunk
 from repro.store.codecs import (
     Codec,
     CrossFieldChunkCodec,
@@ -92,7 +93,6 @@ __all__ = [
     "stored_field_name",
     "ArchiveError",
     "ArchiveCorruptionError",
-    "LRUChunkCache",
     "Codec",
     "SZChunkCodec",
     "ZFPChunkCodec",

@@ -1,24 +1,13 @@
-"""Byte-budgeted LRU cache for decompressed chunks.
+"""Read-only freezing of decoded chunks before they enter a cache.
 
-Region reads hit the same chunks over and over (a user panning across a field,
-a dashboard refreshing a zoom window), and decompression dominates read
-latency.  Caching decompressed chunks keyed by ``(field, chunk_index)`` turns
-repeated reads into memcpy-speed operations.  The cache is bounded by total
-ndarray bytes (and optionally entry count) and evicts least-recently-used
-chunks first.
+The cache itself is :class:`~repro.store.shared_cache.SharedChunkCache`.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, Hashable, List, Optional
-
 import numpy as np
 
-__all__ = ["LRUChunkCache", "freeze_chunk"]
-
-#: Default cache budget: 128 MiB of decompressed chunk data.
-DEFAULT_CACHE_BYTES = 128 * 1024 * 1024
+__all__ = ["freeze_chunk"]
 
 
 def freeze_chunk(chunk: np.ndarray) -> np.ndarray:
@@ -38,101 +27,3 @@ def freeze_chunk(chunk: np.ndarray) -> np.ndarray:
     if arr.flags.writeable:
         arr.setflags(write=False)
     return arr
-
-
-class LRUChunkCache:
-    """LRU mapping of hashable keys to ndarrays with a byte budget.
-
-    Parameters
-    ----------
-    max_bytes:
-        Total decompressed bytes the cache may hold.  ``0`` disables caching
-        entirely (every :meth:`get` misses, :meth:`put` is a no-op).
-    max_entries:
-        Optional additional cap on the number of cached chunks.
-    """
-
-    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, max_entries: Optional[int] = None) -> None:
-        if max_bytes < 0:
-            raise ValueError("max_bytes must be >= 0")
-        if max_entries is not None and max_entries < 1:
-            raise ValueError("max_entries must be positive when given")
-        self.max_bytes = int(max_bytes)
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Hashable, np.ndarray]" = OrderedDict()
-        self._nbytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: Hashable) -> bool:
-        return key in self._entries
-
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of all cached chunks."""
-        return self._nbytes
-
-    def get(self, key: Hashable) -> Optional[np.ndarray]:
-        """Return the cached chunk (marking it most recently used) or ``None``."""
-        if key not in self._entries:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return self._entries[key]
-
-    def put(self, key: Hashable, chunk: np.ndarray) -> None:
-        """Insert a chunk, evicting LRU entries until the budget is respected.
-
-        The stored array is frozen via :func:`freeze_chunk`: read-only, and
-        copied first if it did not own its memory.
-        """
-        if self.max_bytes == 0:
-            return
-        chunk = freeze_chunk(chunk)
-        if key in self._entries:
-            self._nbytes -= int(self._entries.pop(key).nbytes)
-        nbytes = int(chunk.nbytes)
-        if nbytes > self.max_bytes:
-            # a chunk larger than the whole budget is never cached (any stale
-            # entry under this key was already dropped above)
-            return
-        self._entries[key] = chunk
-        self._nbytes += nbytes
-        while self._nbytes > self.max_bytes or (
-            self.max_entries is not None and len(self._entries) > self.max_entries
-        ):
-            _, evicted = self._entries.popitem(last=False)
-            self._nbytes -= int(evicted.nbytes)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every cached chunk (statistics are kept)."""
-        self._entries.clear()
-        self._nbytes = 0
-
-    def keys(self) -> List[Hashable]:
-        """A snapshot list of the current keys, LRU first."""
-        return list(self._entries)
-
-    def discard(self, key: Hashable) -> None:
-        """Drop ``key`` if present (no-op otherwise; not counted as eviction)."""
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._nbytes -= int(entry.nbytes)
-
-    @property
-    def stats(self) -> Dict[str, int]:
-        """Hit/miss/eviction counters plus current occupancy."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "entries": len(self._entries),
-            "nbytes": self._nbytes,
-        }

@@ -579,28 +579,18 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = ArchiveService(
         list(args.archives), refresh=args.refresh, backend=args.io_backend, jobs=args.jobs
     )
+
+    def ready(server) -> None:
+        print(f"serving {len(service.archive_ids)} archive(s) at {server.url}")
+        for archive_id in service.archive_ids:
+            handle = service.handle(archive_id)
+            print(f"  /archives/{archive_id}  <-  {handle.path} (generation {handle.generation})")
+        sys.stdout.flush()
+        if args.ready_file:
+            # tests and scripts poll this file to learn the bound port
+            Path(args.ready_file).write_text(server.url)
+
     try:
-        if args.frontend == "fastapi":
-            try:
-                import uvicorn
-
-                from repro.serve.app import create_app
-            except ImportError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            uvicorn.run(create_app(service), host=args.host, port=args.port)
-            return 0
-
-        def ready(server) -> None:
-            print(f"serving {len(service.archive_ids)} archive(s) at {server.url}")
-            for archive_id in service.archive_ids:
-                handle = service.handle(archive_id)
-                print(f"  /archives/{archive_id}  <-  {handle.path} (generation {handle.generation})")
-            sys.stdout.flush()
-            if args.ready_file:
-                # tests and scripts poll this file to learn the bound port
-                Path(args.ready_file).write_text(server.url)
-
         serve(
             service,
             host=args.host,
@@ -918,13 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="pick up appended generations automatically on the next request "
         "(auto, default) or only on POST /archives/{id}/refresh (manual)",
-    )
-    serve.add_argument(
-        "--frontend",
-        choices=("stdlib", "fastapi"),
-        default="stdlib",
-        help="HTTP frontend: the dependency-free stdlib server (default) or "
-        "the FastAPI app under uvicorn (requires the [serve] extra)",
     )
     serve.add_argument(
         "--max-requests",

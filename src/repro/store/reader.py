@@ -3,8 +3,8 @@
 :class:`ArchiveReader` opens an archive footer-first, keeps the JSON manifest
 in memory, and serves :meth:`~ArchiveReader.read_region` requests by touching
 only the chunks that intersect the requested slices — each chunk is one
-``seek`` + ``read`` + CRC check + decode, with decoded chunks kept in an LRU
-cache so repeated reads of nearby regions are served hot.
+``seek`` + ``read`` + CRC check + decode, with decoded chunks kept in a
+byte-budgeted LRU cache so repeated reads of nearby regions are served hot.
 
 Multi-chunk reads and :meth:`~ArchiveReader.verify` fan chunks out through the
 shared :class:`~repro.parallel.engine.ChunkScheduler` (the same engine the
@@ -18,10 +18,11 @@ preallocated output array as they arrive, in completion order.  ``jobs=1``
 The chunk-fetch engine lives in :class:`ChunkFetcher`, shared with
 :class:`~repro.store.writer.ArchiveWriter`: the writer uses the same code to
 reconstruct anchor chunks for cross-field fields, guaranteeing that encode and
-decode see bit-identical anchor data.  Readers can additionally plug into a
-process-wide :class:`~repro.store.shared_cache.SharedChunkCache`
-(``shared_cache=True``) so concurrent readers of one archive decode every hot
-chunk exactly once.
+decode see bit-identical anchor data.  Every fetcher caches through a private
+:class:`~repro.store.shared_cache.SharedChunkCache`, so concurrent requests
+for one chunk coalesce onto a single decode; readers can additionally route
+full decodes to a process-wide instance (``shared_cache=True``) so concurrent
+readers of one archive decode every hot chunk exactly once.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import os
 import threading
 import time
 import zlib
-from collections import OrderedDict
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
@@ -41,9 +42,13 @@ import numpy as np
 from repro.obs import recorder as _obs
 from repro.parallel.engine import ChunkScheduler
 from repro.store.bytestore import ByteStore, FileByteStore, open_bytestore
-from repro.store.cache import DEFAULT_CACHE_BYTES, LRUChunkCache, freeze_chunk
+from repro.store.cache import freeze_chunk
 from repro.store.codecs import Codec, get_codec
-from repro.store.shared_cache import SharedChunkCache, process_chunk_cache
+from repro.store.shared_cache import (
+    DEFAULT_CACHE_BYTES,
+    SharedChunkCache,
+    process_chunk_cache,
+)
 from repro.store.manifest import (
     ArchiveCorruptionError,
     ArchiveError,
@@ -88,19 +93,19 @@ class ChunkFetcher:
     recursively through the same cache, so decoding one cross-field chunk
     warms the cache for its anchors too.
 
-    When ``shared`` is given, it replaces the private LRU: lookups and
-    inserts go to the process-wide
-    :class:`~repro.store.shared_cache.SharedChunkCache` under keys prefixed
-    with ``archive_id`` (the reader's ``(st_dev, st_ino, generation)``
-    identity), and concurrent misses on one chunk coalesce onto a single
-    decode.
+    ``cache`` is the fetcher's private
+    :class:`~repro.store.shared_cache.SharedChunkCache`.  Full decodes go to ``shared`` when one is given — the
+    process-wide cache, under keys prefixed with ``archive_id`` (the reader's
+    ``(st_dev, st_ino, generation)`` identity) — and to ``cache`` otherwise;
+    previews always stay in ``cache``.  Every lookup is single-flight:
+    concurrent misses on one key coalesce onto a single decode.
     """
 
     def __init__(
         self,
         store,
         lookup: Callable[[str], FieldEntry],
-        cache: Optional[LRUChunkCache] = None,
+        cache: SharedChunkCache,
         shared: Optional[SharedChunkCache] = None,
         archive_id: Tuple = (),
     ) -> None:
@@ -108,29 +113,26 @@ class ChunkFetcher:
             store = FileByteStore(fh=store)
         self._store = store
         self._lookup = lookup
-        self.cache = cache if cache is not None else LRUChunkCache()
+        self.cache = cache
         self.shared = shared
+        self._chunk_cache = shared if shared is not None else self.cache
         self._archive_id = tuple(archive_id)
         self._codecs: Dict[str, Codec] = {}
-        # The LRU cache is not thread-safe, and the file backend serialises
-        # seek+read on its own lock; codec decodes run outside both locks so
-        # concurrent fetchers (the writer's compression workers reconstructing
-        # anchors) only serialise on the cheap I/O and cache bookkeeping.
-        # ``io_lock`` is the store's lock where it has one (the file backend)
-        # so the writer can take it around its own appends to the handle; the
-        # mmap/memory backends read lock-free and the attribute is a dummy.
+        self._codecs_lock = threading.Lock()
+        # The file backend serialises seek+read on its own lock; codec decodes
+        # run outside it (and outside the caches' locks) so concurrent fetchers
+        # (the writer's compression workers reconstructing anchors) only
+        # serialise on the cheap I/O and cache bookkeeping.  ``io_lock`` is the
+        # store's lock where it has one (the file backend) so the writer can
+        # take it around its own appends to the handle; the mmap/memory
+        # backends read lock-free and the attribute is a dummy.
         self.io_lock = getattr(store, "lock", None) or threading.Lock()
-        self._cache_lock = threading.Lock()
         # Per-instance accounting recorder: always on, backs the public
         # ``chunks_decoded`` / ``bytes_read`` properties and ``cache_stats``.
         # The *global* recorder additionally receives stage timings and cache
         # hit/miss counts, but only when telemetry is enabled (its methods are
         # no-ops otherwise).
         self.telemetry = _obs.Recorder()
-        # Preview decode reports, keyed like their cache entries; bounded so a
-        # long-lived fetcher sweeping many (chunk, fraction) pairs cannot grow
-        # it without limit.  Guarded by ``_cache_lock``.
-        self._preview_info: "OrderedDict[Tuple, Dict]" = OrderedDict()
 
     @property
     def store(self) -> ByteStore:
@@ -149,7 +151,7 @@ class ChunkFetcher:
 
     def codec_for(self, entry: FieldEntry) -> Codec:
         """Instantiate (once) the codec recorded in a field entry."""
-        with self._cache_lock:
+        with self._codecs_lock:
             if entry.name not in self._codecs:
                 self._codecs[entry.name] = get_codec(entry.codec, **entry.codec_params)
             return self._codecs[entry.name]
@@ -231,36 +233,19 @@ class ChunkFetcher:
         once per pass even when several cross-field targets share it as an
         anchor).
         """
-        recorder = _obs.get_recorder()
-        key = (name, int(index))
-        if refresh and _fresh is not None and key in _fresh:
-            cached = self._cache_get(key, recorder)
-            if cached is not None:
-                return cached
-            # evicted since it was verified: fall through to a fresh decode
-        if not refresh:
-            if self.shared is not None:
-                # single-flight: concurrent misses on this chunk (across every
-                # reader sharing the cache) coalesce onto one decode
-                return self.shared.get_or_compute(
-                    self._archive_id + key,
-                    lambda: self._decode_chunk(
-                        name, index, refresh, scheduler, _fresh, cache_result=False
-                    ),
-                )
-            cached = self._cache_get(key, recorder)
-            if cached is not None:
-                return cached
-        return self._decode_chunk(name, index, refresh, scheduler, _fresh)
+        index = int(index)
+        key = (name, index)
 
-    def _cache_get(self, key, recorder) -> Optional[np.ndarray]:
-        """Cache lookup through whichever cache is active, with hit/miss counts."""
-        if self.shared is not None:
-            return self.shared.get(self._archive_id + key)
-        with self._cache_lock:
-            cached = self.cache.get(key)
-        recorder.count("store.cache.hits" if cached is not None else "store.cache.misses")
-        return cached
+        def decode() -> np.ndarray:
+            return self._decode_chunk(name, index, refresh, scheduler, _fresh)
+
+        if refresh and (_fresh is None or key not in _fresh):
+            decoded = decode()
+            self._chunk_cache.put(self._archive_id + key, decoded)
+            return decoded
+        # a chunk verified earlier in this pass but evicted since misses here
+        # and is decoded fresh by the factory
+        return self._chunk_cache.get_or_compute(self._archive_id + key, decode)
 
     def _decode_chunk(
         self,
@@ -269,27 +254,15 @@ class ChunkFetcher:
         refresh: bool,
         scheduler: Optional[ChunkScheduler],
         _fresh: Optional[set],
-        cache_result: bool = True,
     ) -> np.ndarray:
         """Read, CRC-check and decode one chunk from the store (no cache lookup).
 
-        ``cache_result=False`` skips the cache insert — the shared cache's
-        single-flight path stores the result itself.  The returned array is
-        always read-only (:func:`~repro.store.cache.freeze_chunk`).
+        The returned array is read-only
+        (:func:`~repro.store.cache.freeze_chunk`).
         """
         recorder = _obs.get_recorder()
-        key = (name, int(index))
         entry = self._lookup(name)
-        if not 0 <= index < len(entry.chunks):
-            raise ArchiveCorruptionError(
-                f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
-                f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
-            )
-        chunk = entry.chunks[index]
-        if chunk.index != index:  # pragma: no cover - manifest is written in order
-            raise ArchiveCorruptionError(
-                f"field {name!r}: chunk list out of order ({chunk.index} at position {index})"
-            )
+        chunk = _chunk_entry(entry, index)
         payload = self.read_payload(entry, chunk)
         payload_len = len(payload)
         try:
@@ -305,15 +278,10 @@ class ChunkFetcher:
                     for anchor in entry.anchors
                 ]
             codec = self.codec_for(entry)
-            if isinstance(payload, memoryview) and not getattr(
-                codec, "decode_accepts_buffer", False
-            ):
-                # codec insists on real bytes: materialise the view once
-                buf = payload.tobytes()
-                payload.release()
-                payload = buf
+            payload = _codec_input(codec, payload)
             decode_start = time.perf_counter()
-            decoded = self._decode_with(codec, payload, anchors, scheduler)
+            with _decode_errors(entry, index):
+                decoded = self._decode_with(codec, payload, anchors, scheduler)
             decode_seconds = time.perf_counter() - decode_start
         finally:
             if isinstance(payload, memoryview):
@@ -323,34 +291,13 @@ class ChunkFetcher:
             recorder.observe(f"store.codec.{entry.codec}.decode_seconds", decode_seconds)
             recorder.count(f"store.codec.{entry.codec}.bytes_in", payload_len)
             recorder.count(f"store.codec.{entry.codec}.bytes_out", int(decoded.nbytes))
-        expected_dtype = np.dtype(entry.dtype)
-        if decoded.shape != chunk.shape:
-            raise ArchiveCorruptionError(
-                f"field {name!r} chunk {index}: decoded shape {decoded.shape} "
-                f"does not match manifest shape {chunk.shape}"
-            )
-        if decoded.dtype != expected_dtype:
-            decoded = decoded.astype(expected_dtype)
-        # cached chunks are shared; freeze before anyone can alias the buffer
-        decoded = freeze_chunk(decoded)
-        if cache_result:
-            if self.shared is not None:
-                self.shared.put(self._archive_id + key, decoded)
-            else:
-                with self._cache_lock:
-                    evictions_before = self.cache.evictions
-                    self.cache.put(key, decoded)
-                    evicted = self.cache.evictions - evictions_before
-                if evicted:
-                    recorder.count("store.cache.evictions", evicted)
+        decoded = _conform(entry, chunk, decoded, "decoded")
         self.telemetry.count("store.read.chunks_decoded")
         recorder.count("store.read.chunks_decoded")
         recorder.count("store.read.bytes_out", int(decoded.nbytes))
         if _fresh is not None:
-            _fresh.add(key)
+            _fresh.add((name, index))
         return decoded
-
-    _PREVIEW_INFO_MAX = 4096
 
     def get_chunk_preview(
         self,
@@ -369,21 +316,15 @@ class ChunkFetcher:
         ``fraction`` must be a finite value in ``(0, 1]``; anything else
         raises :class:`ValueError` here, at the reader boundary, instead of
         flowing into the codec and the preview cache key.  Preview chunks are
-        cached in the *private* LRU under keys extended with the fraction, so
-        they never alias full-precision entries (and never enter the shared
-        cache, which is reserved for full decodes).
+        cached with their reports in the *private* cache under keys extended
+        with the fraction, so they never alias full-precision entries (and
+        never enter the shared cache, which is reserved for full decodes).
         """
         fraction = _validate_preview_fraction(fraction)
-        recorder = _obs.get_recorder()
         entry = self._lookup(name)
         codec = self.codec_for(entry)
         if not getattr(codec, "supports_preview", False):
-            if not 0 <= index < len(entry.chunks):
-                raise ArchiveCorruptionError(
-                    f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
-                    f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
-                )
-            nbytes = int(entry.chunks[index].length)
+            nbytes = int(_chunk_entry(entry, index).length)
             info = {
                 "groups_decoded": 1,
                 "groups_total": 1,
@@ -393,58 +334,43 @@ class ChunkFetcher:
                 "fallback": True,
             }
             self.telemetry.count("store.preview.fallback_chunks")
+            recorder = _obs.get_recorder()
             if recorder.enabled:
                 recorder.count("store.preview.fallback_chunks")
             return self.get_chunk(name, index, scheduler=scheduler), info
 
-        key = (name, int(index), "preview", float(fraction))
-        with self._cache_lock:
-            cached = self.cache.get(key)
-            cached_info = self._preview_info.get(key) if cached is not None else None
-        if cached is not None and cached_info is not None:
-            recorder.count("store.cache.hits")
-            return cached, dict(cached_info)
-        recorder.count("store.cache.misses")
+        index = int(index)
+        decoded, info = self.cache.get_or_compute_entry(
+            self._archive_id + (name, index, "preview", fraction),
+            lambda: self._decode_preview(entry, codec, index, fraction, scheduler),
+        )
+        return decoded, dict(info)
 
-        if not 0 <= index < len(entry.chunks):
-            raise ArchiveCorruptionError(
-                f"field {name!r}: manifest lists {len(entry.chunks)} chunks but the "
-                f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
-            )
-        chunk = entry.chunks[index]
-        payload = self.read_payload(entry, chunk)
+    def _decode_preview(
+        self,
+        entry: FieldEntry,
+        codec: Codec,
+        index: int,
+        fraction: float,
+        scheduler: Optional[ChunkScheduler],
+    ) -> Tuple[np.ndarray, Dict]:
+        """Read, CRC-check and progressively decode one chunk (no cache lookup)."""
+        recorder = _obs.get_recorder()
+        chunk = _chunk_entry(entry, index)
+        payload = _codec_input(codec, self.read_payload(entry, chunk))
         try:
-            if isinstance(payload, memoryview) and not getattr(
-                codec, "decode_accepts_buffer", False
-            ):
-                buf = payload.tobytes()
-                payload.release()
-                payload = buf
             decode_start = time.perf_counter()
-            decoded, info = codec.decode_preview(payload, fraction, scheduler=scheduler)
+            with _decode_errors(entry, index):
+                decoded, info = codec.decode_preview(payload, fraction, scheduler=scheduler)
             decode_seconds = time.perf_counter() - decode_start
-            # progressive codecs predate the fallback flag; normalise it here
-            # so every preview report carries an explicit verdict
-            info = dict(info)
-            info.setdefault("fallback", False)
         finally:
             if isinstance(payload, memoryview):
                 payload.release()
-        if decoded.shape != chunk.shape:
-            raise ArchiveCorruptionError(
-                f"field {name!r} chunk {index}: preview shape {decoded.shape} "
-                f"does not match manifest shape {chunk.shape}"
-            )
-        expected_dtype = np.dtype(entry.dtype)
-        if decoded.dtype != expected_dtype:
-            decoded = decoded.astype(expected_dtype)
-        decoded = freeze_chunk(decoded)
-        with self._cache_lock:
-            self.cache.put(key, decoded)
-            self._preview_info[key] = dict(info)
-            self._preview_info.move_to_end(key)
-            while len(self._preview_info) > self._PREVIEW_INFO_MAX:
-                self._preview_info.popitem(last=False)
+        # progressive codecs predate the fallback flag; normalise it here so
+        # every preview report carries an explicit verdict
+        info = dict(info)
+        info.setdefault("fallback", False)
+        decoded = _conform(entry, chunk, decoded, "preview")
         self.telemetry.count("store.preview.chunks")
         self.telemetry.count("store.preview.bytes_decoded", int(info["bytes_decoded"]))
         self.telemetry.count("store.preview.bytes_total", int(info["bytes_total"]))
@@ -453,7 +379,63 @@ class ChunkFetcher:
             recorder.count("store.preview.chunks")
             recorder.count("store.preview.bytes_decoded", int(info["bytes_decoded"]))
             recorder.count("store.preview.bytes_total", int(info["bytes_total"]))
-        return decoded, dict(info)
+        return decoded, info
+
+
+def _chunk_entry(entry: FieldEntry, index: int) -> ChunkEntry:
+    """The manifest entry of chunk ``index``, bounds-checked against the list."""
+    if not 0 <= index < len(entry.chunks):
+        raise ArchiveCorruptionError(
+            f"field {entry.name!r}: manifest lists {len(entry.chunks)} chunks but the "
+            f"chunk grid {entry.grid_counts} implies chunk {index} should exist"
+        )
+    chunk = entry.chunks[index]
+    if chunk.index != index:  # pragma: no cover - manifest is written in order
+        raise ArchiveCorruptionError(
+            f"field {entry.name!r}: chunk list out of order ({chunk.index} at position {index})"
+        )
+    return chunk
+
+
+def _codec_input(codec: Codec, payload):
+    """Materialise a zero-copy view as ``bytes`` for codecs that need them."""
+    if isinstance(payload, memoryview) and not getattr(codec, "decode_accepts_buffer", False):
+        buf = payload.tobytes()
+        payload.release()
+        return buf
+    return payload
+
+
+@contextmanager
+def _decode_errors(entry: FieldEntry, index: int):
+    """Re-raise a codec failure as :class:`ArchiveCorruptionError`.
+
+    The payload already passed its CRC check, so a codec that cannot decode it
+    (``zlib.error``, a ``ValueError`` from a malformed header, ...) means the
+    archive is corrupt — not that the request was bad.  The new error names
+    the field and chunk and chains the original; typed archive errors the
+    codec raises itself pass through unchanged.
+    """
+    try:
+        yield
+    except ArchiveError:
+        raise
+    except Exception as exc:
+        raise ArchiveCorruptionError(f"field {entry.name!r} chunk {index}: {exc}") from exc
+
+
+def _conform(entry: FieldEntry, chunk: ChunkEntry, decoded: np.ndarray, what: str) -> np.ndarray:
+    """Check a decode against the manifest shape, cast to its dtype, freeze it."""
+    if decoded.shape != chunk.shape:
+        raise ArchiveCorruptionError(
+            f"field {entry.name!r} chunk {chunk.index}: {what} shape {decoded.shape} "
+            f"does not match manifest shape {chunk.shape}"
+        )
+    expected_dtype = np.dtype(entry.dtype)
+    if decoded.dtype != expected_dtype:
+        decoded = decoded.astype(expected_dtype)
+    # cached chunks are shared; freeze before anyone can alias the buffer
+    return freeze_chunk(decoded)
 
 
 class ArchiveReader:
@@ -463,9 +445,11 @@ class ArchiveReader:
     ----------
     path:
         The archive file.
-    cache_bytes / cache_entries:
-        Decoded-chunk LRU cache budget (see :class:`LRUChunkCache`); ignored
-        when ``shared_cache`` routes chunks to the process-wide cache.
+    cache_bytes:
+        Budget of the reader's private decoded-chunk cache (a
+        :class:`~repro.store.shared_cache.SharedChunkCache`).  It holds full
+        decodes unless ``shared_cache`` routes them elsewhere, and always
+        holds progressive previews.
     jobs:
         Worker count for multi-chunk reads and verification: ``None`` sizes
         the pool to the machine, ``1`` decodes serially in the calling thread.
@@ -483,8 +467,8 @@ class ArchiveReader:
         (classic seek/read under one lock).  See
         :mod:`repro.store.bytestore`.
     shared_cache:
-        ``None``/``False`` keeps the private per-reader LRU.  ``True`` plugs
-        into the lazily created process-wide
+        ``None``/``False`` keeps full decodes in the private cache.  ``True``
+        plugs into the lazily created process-wide
         :class:`~repro.store.shared_cache.SharedChunkCache`; a
         ``SharedChunkCache`` instance uses that cache.  Shared entries are
         keyed by archive identity *and* manifest generation (the published
@@ -506,7 +490,6 @@ class ArchiveReader:
         self,
         path: PathLike,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
-        cache_entries: Optional[int] = None,
         jobs: Optional[int] = None,
         executor_kind: str = "thread",
         recover: bool = False,
@@ -558,7 +541,7 @@ class ArchiveReader:
         self._fetcher = ChunkFetcher(
             self._store,
             self.manifest.__getitem__,
-            LRUChunkCache(max_bytes=cache_bytes, max_entries=cache_entries),
+            SharedChunkCache(max_bytes=cache_bytes),
             shared=shared,
             archive_id=self._archive_id,
         )

@@ -20,6 +20,16 @@ class TestBackends:
         assert backend.decompress(compressed) == payload
         assert len(compressed) < len(payload)
 
+    def test_zlib_rejects_trailing_garbage(self):
+        backend = ZlibBackend()
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            backend.decompress(backend.compress(b"abc" * 100) + b"\x00")
+
+    def test_zlib_rejects_truncated_stream(self):
+        backend = ZlibBackend()
+        with pytest.raises(ValueError, match="truncated"):
+            backend.decompress(backend.compress(bytes(range(256)) * 8)[:-4])
+
     def test_raw_round_trip(self):
         backend = RawBackend()
         assert backend.decompress(backend.compress(b"hello")) == b"hello"

@@ -1,13 +1,10 @@
-"""Tests for the serve transports: the stdlib HTTP server, the ``repro
-serve`` CLI verb, and (when the optional ``[serve]`` extra is installed) the
-FastAPI app.
+"""Tests for the serve transport: the stdlib HTTP server and the ``repro
+serve`` CLI verb.
 
-The stdlib-server tests run real sockets through ``urllib`` — including
+The tests run real sockets through ``urllib`` — including
 append-while-serving over HTTP and concurrent-client shared-cache dedup,
 mirroring the in-process versions in ``test_serve_service.py`` at the
-transport level.  FastAPI tests are ``importorskip``-gated: they skip
-cleanly in the dependency-free tier-1 environment and run in the CI
-serve-smoke job.
+transport level.
 """
 
 import io
@@ -238,45 +235,3 @@ class TestServeCLI:
     def test_serve_missing_archive_errors(self, tmp_path, capsys):
         assert main(["serve", str(tmp_path / "nope.xfa")]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestFastAPIApp:
-    """Runs only where the optional [serve] extra is installed (CI serve-smoke)."""
-
-    @pytest.fixture()
-    def client(self, snapshot_archive):
-        pytest.importorskip("fastapi")
-        testclient = pytest.importorskip("fastapi.testclient")
-        from repro.serve.app import create_app
-
-        path, _ = snapshot_archive
-        service = ArchiveService({"a": path}, cache=SharedChunkCache())
-        with testclient.TestClient(create_app(service)) as client:
-            yield client
-        service.close()
-
-    def test_manifest_and_etag(self, client):
-        response = client.get("/archives/a/manifest")
-        assert response.status_code == 200
-        etag = response.headers["ETag"]
-        again = client.get("/archives/a/manifest", headers={"If-None-Match": etag})
-        assert again.status_code == 304
-
-    def test_region_npy(self, client):
-        response = client.get("/archives/a/fields/T/region", params={"region": "0:8,0:8"})
-        assert response.status_code == 200
-        assert response.headers["content-type"].startswith("application/x-npy")
-        window = np.load(io.BytesIO(response.content))
-        assert window.shape == (8, 8)
-
-    def test_error_mapping_matches_core(self, client):
-        assert client.get("/archives/a/fields/NOPE/region").status_code == 404
-        assert client.get("/archives/a/fields/T/region", params={"region": "999"}).status_code == 416
-        assert client.get(
-            "/archives/a/fields/T/preview", params={"fraction": "0"}
-        ).status_code == 422
-
-    def test_preview_headers(self, client):
-        response = client.get("/archives/a/fields/T/preview", params={"fraction": "0.25"})
-        assert response.status_code == 200
-        assert response.headers["X-Repro-Preview-Fallback"] == "false"

@@ -11,6 +11,7 @@ append, shared-cache dedup) lives here.
 import io
 import json
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from repro.serve.service import (
     ServiceResponse,
     _etag_matches,
 )
+from repro.store.manifest import ArchiveCorruptionError
+from repro.store.reader import ArchiveReader
 from repro.store.shared_cache import SharedChunkCache
 from repro.store.writer import ArchiveWriter
 
@@ -171,6 +174,26 @@ class TestPreview:
 
 
 class TestErrorMapping:
+    @pytest.mark.parametrize("error", [zlib.error, ValueError], ids=["zlib.error", "ValueError"])
+    def test_codec_failure_is_typed_corruption_and_500(self, snapshot_archive, monkeypatch, error):
+        # a payload that passes its CRC but makes the codec raise is archive
+        # corruption: typed at the reader, a server error (not 422) at the service
+        from repro.store.codecs import SZChunkCodec
+
+        def broken_decode(self, payload, anchors=None, scheduler=None):
+            raise error("malformed section")
+
+        monkeypatch.setattr(SZChunkCodec, "decode", broken_decode)
+        path, _ = snapshot_archive
+        with ArchiveReader(path) as reader:
+            with pytest.raises(ArchiveCorruptionError, match="field 'P' chunk 0: malformed") as info:
+                reader.read_region("P", (slice(0, 16), slice(0, 32)))
+            assert isinstance(info.value.__cause__, error)
+        with make_service(path) as service:
+            response = service.handle_region("a", "P", region="0:16,0:32")
+            assert response.status == 500
+            assert "field 'P' chunk 0" in body_json(response)["detail"]
+
     def test_unknown_archive_404(self, snapshot_archive):
         path, _ = snapshot_archive
         with make_service(path) as service:

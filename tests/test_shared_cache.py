@@ -1,5 +1,6 @@
 """SharedChunkCache: single-flight dedup, invalidation, reader integration."""
 
+import sys
 import threading
 import time
 
@@ -17,6 +18,34 @@ def _poll(predicate, timeout=5.0, interval=0.001):
         if time.monotonic() > deadline:
             pytest.fail("timed out waiting for condition")
         time.sleep(interval)
+
+
+def _race(n_threads, call):
+    """Run ``call`` in ``n_threads`` barrier-synchronised threads; return results."""
+    barrier = threading.Barrier(n_threads)
+    results, errors = [], []
+
+    def work():
+        try:
+            barrier.wait(timeout=10.0)
+            results.append(call())
+        except Exception as exc:  # pragma: no cover - failure path
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the cache bookkeeping finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    assert len(results) == n_threads
+    return results
 
 
 class TestBasics:
@@ -289,6 +318,49 @@ class TestReaderSharing:
             assert np.array_equal(r1.read_field("hot"), data)
             assert r1.cache_stats()["chunks_decoded"] == decoded_before
 
+    def test_private_cache_coalesces_concurrent_chunk_reads(self, lossless_archive, monkeypatch):
+        """Without a shared cache, racing readers of one chunk still decode it once."""
+        from repro.store.codecs import LosslessChunkCodec
+
+        slow = LosslessChunkCodec.decode
+
+        def slow_decode(self, payload, anchors=None, scheduler=None):
+            time.sleep(0.1)  # keep the decode in flight while the others arrive
+            return slow(self, payload, anchors=anchors, scheduler=scheduler)
+
+        monkeypatch.setattr(LosslessChunkCodec, "decode", slow_decode)
+        path, data = lossless_archive
+        region = (slice(0, 16), slice(0, 16))
+        with ArchiveReader(path) as reader:
+            results = _race(8, lambda: reader.read_region("hot", region))
+            assert reader.cache_stats()["chunks_decoded"] == 1
+            assert reader.cache_stats()["coalesced"] + reader.cache_stats()["hits"] == 7
+        for out in results:
+            assert np.array_equal(out, data[region])
+
+    def test_concurrent_previews_decode_once(self, tmp_path, monkeypatch):
+        """Racing previews of one (chunk, fraction) share one progressive decode."""
+        from repro.store.codecs import ZFPChunkCodec
+
+        path = tmp_path / "zfp.xfa"
+        data = np.random.default_rng(3).normal(size=(16, 16)).astype(np.float32)
+        with ArchiveWriter(path, chunk_shape=(16, 16)) as writer:
+            writer.add_field("T", data, codec="zfp")
+        slow = ZFPChunkCodec.decode_preview
+
+        def slow_preview(self, payload, fraction, scheduler=None):
+            time.sleep(0.1)
+            return slow(self, payload, fraction, scheduler=scheduler)
+
+        monkeypatch.setattr(ZFPChunkCodec, "decode_preview", slow_preview)
+        with ArchiveReader(path) as reader:
+            results = _race(8, lambda: reader.read_region_preview("T", None, fraction=0.25))
+            assert reader._fetcher.telemetry.counter("store.preview.chunks") == 1
+        first_array, first_info = results[0]
+        for array, info in results:
+            assert np.array_equal(array, first_array)
+            assert info == first_info
+
     def test_shared_telemetry_counters(self, lossless_archive):
         from repro import obs
 
@@ -303,5 +375,5 @@ class TestReaderSharing:
         finally:
             obs.set_recorder(previous)
         snapshot = recorder.snapshot()
-        assert snapshot.counter("store.cache.shared.miss") == 16
-        assert snapshot.counter("store.cache.shared.hit") >= 16
+        assert snapshot.counter("store.cache.misses") == 16
+        assert snapshot.counter("store.cache.hits") >= 16

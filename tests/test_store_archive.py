@@ -10,7 +10,7 @@ from repro.store import (
     ArchiveError,
     ArchiveReader,
     ArchiveWriter,
-    LRUChunkCache,
+    SharedChunkCache,
 )
 from repro.store.codecs import SZChunkCodec
 from repro.store.manifest import (
@@ -549,9 +549,28 @@ class TestManifest:
         assert chunks_intersecting_region(shape, chunk, region) == list(range(9))
 
 
+class TestStrictZlibSections:
+    def test_trailing_garbage_in_a_stored_section_is_corruption(self, tmp_path, monkeypatch):
+        # the writer's CRC covers the garbage byte, so only the strict zlib
+        # backend can tell the section is malformed
+        from repro.encoding.lossless import ZlibBackend
+
+        path = tmp_path / "garbage.xfa"
+        clean = ZlibBackend.compress
+        with monkeypatch.context() as patch:
+            patch.setattr(ZlibBackend, "compress", lambda self, data: clean(self, data) + b"\x00")
+            with ArchiveWriter(path, chunk_shape=(8, 8)) as writer:
+                writer.add_field("raw", np.arange(64.0).reshape(8, 8), codec="lossless")
+        with ArchiveReader(path) as reader:
+            with pytest.raises(ArchiveCorruptionError, match="field 'raw' chunk 0: .*trailing"):
+                reader.read_field("raw")
+
+
 class TestLRUChunkCache:
+    """LRU and byte-budget behaviour of the store's one chunk-cache class."""
+
     def test_byte_budget_eviction(self):
-        cache = LRUChunkCache(max_bytes=3 * 800)  # three 10x10 float64 chunks
+        cache = SharedChunkCache(max_bytes=3 * 800)  # three 10x10 float64 chunks
         chunks = [np.full((10, 10), i, dtype=np.float64) for i in range(4)]
         for i, chunk in enumerate(chunks):
             cache.put(("f", i), chunk)
@@ -561,7 +580,7 @@ class TestLRUChunkCache:
         assert cache.evictions == 1
 
     def test_lru_ordering(self):
-        cache = LRUChunkCache(max_bytes=2 * 80)
+        cache = SharedChunkCache(max_bytes=2 * 80)
         a, b, c = (np.full(10, v, dtype=np.float64) for v in (1, 2, 3))
         cache.put("a", a)
         cache.put("b", b)
@@ -571,29 +590,49 @@ class TestLRUChunkCache:
         assert cache.get("a") is not None
 
     def test_oversized_chunk_not_cached(self):
-        cache = LRUChunkCache(max_bytes=10)
+        cache = SharedChunkCache(max_bytes=10)
         cache.put("big", np.zeros(100))
         assert len(cache) == 0
 
     def test_oversized_replacement_drops_stale_entry(self):
-        cache = LRUChunkCache(max_bytes=100)
+        cache = SharedChunkCache(max_bytes=100)
         cache.put("k", np.zeros(10, dtype=np.uint8))
         cache.put("k", np.zeros(200, dtype=np.uint8))  # over budget
         assert cache.get("k") is None  # stale small entry must not survive
         assert cache.nbytes == 0
 
     def test_zero_budget_disables_cache(self):
-        cache = LRUChunkCache(max_bytes=0)
+        cache = SharedChunkCache(max_bytes=0)
         cache.put("x", np.zeros(4))
         assert cache.get("x") is None
+        calls = []
+        for _ in range(2):
+            cache.get_or_compute("y", lambda: calls.append(1) or np.zeros(4))
+        assert len(calls) == 2 and len(cache) == 0
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(ValueError, match="max_bytes"):
+            SharedChunkCache(max_bytes=-1)
+
+    def test_entries_carry_info_sized_by_array(self):
+        cache = SharedChunkCache(max_bytes=1 << 20)
+        info = {"bytes_decoded": 12}
+        array, stored = cache.get_or_compute_entry("p", lambda: (np.zeros(4), info))
+        assert stored == info and cache.nbytes == array.nbytes == 32
+        assert cache.get_or_compute_entry("p", lambda: pytest.fail("recomputed"))[1] == info
+        cache.get_or_compute("full", lambda: np.zeros(2))
+        assert cache.get_or_compute_entry("full", lambda: pytest.fail("recomputed"))[1] is None
 
     def test_stats(self):
-        cache = LRUChunkCache()
+        cache = SharedChunkCache()
         cache.put("x", np.zeros(4))
         cache.get("x")
         cache.get("y")
         stats = cache.stats
         assert stats["hits"] == 1 and stats["misses"] == 1 and stats["entries"] == 1
+        assert set(stats) == {
+            "hits", "misses", "evictions", "entries", "nbytes", "coalesced", "inflight"
+        }
 
 
 class TestPreviewReads:

@@ -291,7 +291,7 @@ class TestReadOnlyCache:
             assert not np.array_equal(second, first)
 
     def test_freeze_copies_non_owned_buffers(self):
-        from repro.store import LRUChunkCache, freeze_chunk
+        from repro.store import SharedChunkCache, freeze_chunk
 
         backing = np.arange(16, dtype=np.float64)
         view = backing[2:10]
@@ -300,11 +300,14 @@ class TestReadOnlyCache:
         backing[:] = 0.0  # mutating the original buffer must not reach the cache copy
         assert np.array_equal(frozen, np.arange(2, 10, dtype=np.float64))
 
-        cache = LRUChunkCache(max_bytes=1 << 20)
+        cache = SharedChunkCache(max_bytes=1 << 20)
         owned = np.ones(8)
         cache.put("k", owned)
         stored = cache.get("k")
         assert not stored.flags.writeable
+        # a view handed to the single-flight path is copied before caching
+        computed = cache.get_or_compute("v", lambda: backing[2:10])
+        assert not computed.flags.writeable and computed.base is None
 
 
 # --------------------------------------------------------------------------- #
