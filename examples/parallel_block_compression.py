@@ -35,8 +35,7 @@ def main() -> None:
         compressor = BlockParallelCompressor(
             compressor=SZCompressor(error_bound=error_bound),
             block_shape=(128, 128),
-            executor_kind=kind,
-            max_workers=workers,
+            jobs=workers,
         )
         start = time.perf_counter()
         result = compressor.compress(data, field_name="FLNT")

@@ -430,8 +430,7 @@ class HuffmanCodec:
         """
         n_groups = 1
         if scheduler is not None:
-            jobs = int(getattr(scheduler, "effective_jobs", 1) or 1)
-            n_groups = max(1, min(jobs, n_full // _WAVEFRONT_MIN_BLOCKS))
+            n_groups = max(1, min(scheduler.effective_jobs, n_full // _WAVEFRONT_MIN_BLOCKS))
 
         def decode_group(span: Tuple[int, int]) -> np.ndarray:
             lo, hi = span

@@ -157,7 +157,7 @@ def run_parallel_block_ablation(
     target: str = "FLNT",
     error_bound: float = 1e-3,
     block_size: int = 64,
-    max_workers: int = 4,
+    jobs: int = 4,
 ) -> AblationResult:
     """Serial vs thread-pool block compression (enabled by dual quantization)."""
     shapes = dataset_shapes(scale)
@@ -171,12 +171,11 @@ def run_parallel_block_ablation(
 
     rows = [["single-shot", single_result.ratio, single_seconds, 1]]
     block_shape = tuple(block_size for _ in data.shape)
-    for kind, workers in (("serial", 1), ("thread", max_workers)):
+    for kind, workers in (("serial", 1), ("thread", jobs)):
         parallel = BlockParallelCompressor(
             compressor=SZCompressor(error_bound=eb),
             block_shape=block_shape,
-            max_workers=workers,
-            executor_kind=kind,
+            jobs=workers,
         )
         start = time.perf_counter()
         result = parallel.compress(data)

@@ -7,13 +7,15 @@ reads, full-field decode, verification) and the in-memory block compressor
 each used to carry their own copy of that orchestration.  :class:`ChunkScheduler`
 is the single implementation they all share now:
 
-- **Backends**: ``"thread"`` (the default — NumPy ufuncs and zlib release the
-  GIL, so chunk codecs scale across cores in one process), ``"process"`` (for
-  pure-Python-dominated workloads; tasks and results must be picklable) and
-  ``"serial"`` (the in-process reference loop, used for debugging and as the
-  baseline in speedup measurements).
+- **One backend, one knob**: a thread pool sized by ``jobs`` (NumPy ufuncs
+  and zlib release the GIL, so chunk codecs scale across cores in one
+  process), or the in-process serial reference loop when ``jobs=1`` — the
+  debugging path and the baseline in speedup measurements.  Each scheduler
+  creates its pool lazily on first parallel use and keeps it until its owner
+  calls :meth:`ChunkScheduler.close`, so hot paths issuing many small batches
+  (region reads, one archive write per field) pay for pool start-up once.
 - **Windowed submission**: ordered streaming submits at most
-  ``window_factor * jobs`` tasks ahead of the consumer, so a caller that
+  ``WINDOW_FACTOR * jobs`` tasks ahead of the consumer, so a caller that
   processes results as they arrive (the archive writer appending payloads to
   disk) holds one window of results in memory, never the whole output.
 - **Ordered and unordered collection**: :meth:`imap` preserves task order
@@ -41,12 +43,11 @@ from collections import deque
 from typing import Any, Callable, Iterable, Iterator, List, Optional, Tuple
 
 from repro.obs import recorder as _obs
-from repro.utils.validation import ensure_in
 
-__all__ = ["SCHEDULER_KINDS", "ChunkScheduler", "ChunkTaskError", "default_jobs"]
+__all__ = ["ChunkScheduler", "ChunkTaskError", "default_jobs"]
 
-#: Executor backends understood by :class:`ChunkScheduler`.
-SCHEDULER_KINDS = ("thread", "process", "serial")
+#: In-flight tasks per worker on the ordered streaming path.
+WINDOW_FACTOR = 2
 
 #: Description callback: maps ``(task_index, item)`` to a human-readable label.
 ContextFn = Callable[[int, Any], str]
@@ -71,57 +72,23 @@ class ChunkTaskError(RuntimeError):
         self.original = original
 
 
-class _ShippedResult:
-    """A task result travelling with the worker's telemetry delta.
-
-    Process workers cannot record into the parent's recorder, so the task
-    wrapper snapshots a worker-local recorder after each task and ships the
-    delta alongside the result; the parent merges it at collection time.
-    """
-
-    __slots__ = ("result", "telemetry")
-
-    def __init__(self, result, telemetry) -> None:
-        self.result = result
-        self.telemetry = telemetry
-
-
-class _TelemetryTask:
-    """Wraps a task callable with queue-wait/duration metrics (picklable).
+def _timed(func: Callable) -> Callable:
+    """``func`` wrapped with queue-wait/duration metrics.
 
     Called as ``task(item, submitted)`` where ``submitted`` is the submitting
-    thread's ``perf_counter()``; on Linux ``perf_counter`` is the system-wide
-    ``CLOCK_MONOTONIC``, so the queue-wait measurement also holds across the
-    process boundary.  With ``ship=True`` (process backend) the task runs
-    against a fresh worker-local recorder — never the recorder state a forked
-    child inherited, which the parent already owns — and returns a
-    :class:`_ShippedResult` carrying the per-task delta.
+    thread's ``perf_counter()`` reading.
     """
 
-    __slots__ = ("func", "ship")
-
-    def __init__(self, func: Callable, ship: bool) -> None:
-        self.func = func
-        self.ship = ship
-
-    def __call__(self, item, submitted: float):
-        if self.ship:
-            local = _obs.Recorder()
-            previous = _obs.set_recorder(local)
-            try:
-                result = self._run(local, item, submitted)
-            finally:
-                _obs.set_recorder(previous)
-            return _ShippedResult(result, local.snapshot())
-        return self._run(_obs.get_recorder(), item, submitted)
-
-    def _run(self, recorder, item, submitted: float):
+    def task(item, submitted: float):
+        recorder = _obs.get_recorder()
         start = time.perf_counter()
         recorder.observe("scheduler.queue_wait_seconds", max(0.0, start - submitted))
-        result = self.func(item)
+        result = func(item)
         recorder.observe("scheduler.task_seconds", time.perf_counter() - start)
         recorder.count("scheduler.tasks")
         return result
+
+    return task
 
 
 class ChunkScheduler:
@@ -132,45 +99,22 @@ class ChunkScheduler:
     jobs:
         Worker count.  ``None`` uses :func:`default_jobs`; ``1`` executes
         serially in the calling thread (no pool); values below 1 are rejected.
-    executor_kind:
-        One of :data:`SCHEDULER_KINDS`.  ``"process"`` requires picklable
-        callables, items and results.
-    window_factor:
-        In-flight tasks per worker for the ordered streaming path; the
-        submission window is ``window_factor * jobs``.
-    reuse_pool:
-        By default each call creates and tears down its own pool, which keeps
-        the scheduler stateless.  ``reuse_pool=True`` lazily creates one pool
-        on first use and keeps it for the scheduler's lifetime — right for
-        hot paths issuing many small batches (an archive reader serving
-        region reads), where per-call pool construction would rival the work
-        itself.  Call :meth:`close` to release the pool (safe to call more
-        than once; the pool is recreated on next use).
 
-    Either way, one instance can be shared by concurrent callers — e.g. many
-    threads issuing :meth:`imap_unordered` reads against one archive reader.
+    The thread pool is created on first parallel use and kept for the
+    scheduler's lifetime; its owner releases it with :meth:`close` (safe to
+    call more than once; the pool is recreated on next use).  One instance
+    can be shared by concurrent callers — e.g. many threads issuing
+    :meth:`imap_unordered` reads against one archive reader.
     """
 
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        executor_kind: str = "thread",
-        window_factor: int = 2,
-        reuse_pool: bool = False,
-    ) -> None:
-        ensure_in(executor_kind, SCHEDULER_KINDS, "executor_kind")
+    def __init__(self, jobs: Optional[int] = None) -> None:
         if jobs is not None:
             if isinstance(jobs, bool) or not isinstance(jobs, int):
                 raise ValueError(f"jobs must be an integer or None, got {jobs!r}")
             if jobs < 1:
                 raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if window_factor < 1:
-            raise ValueError(f"window_factor must be >= 1, got {window_factor}")
         self.jobs = jobs
-        self.executor_kind = executor_kind
-        self.window_factor = int(window_factor)
-        self.reuse_pool = bool(reuse_pool)
-        self._pool: Optional[concurrent.futures.Executor] = None
+        self._pool: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._pool_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
@@ -178,12 +122,12 @@ class ChunkScheduler:
     # ------------------------------------------------------------------ #
     @property
     def effective_jobs(self) -> int:
-        """The worker count a parallel backend would actually use."""
+        """The worker count the thread pool would actually use."""
         return self.jobs if self.jobs is not None else default_jobs()
 
     def is_serial(self, n_tasks: Optional[int] = None) -> bool:
         """True when execution falls back to the in-process serial loop."""
-        if self.executor_kind == "serial" or self.effective_jobs == 1:
+        if self.effective_jobs == 1:
             return True
         return n_tasks is not None and n_tasks <= 1
 
@@ -202,9 +146,8 @@ class ChunkScheduler:
         configuration errors.
         """
         items = list(items)
-        serial = self.is_serial(len(items))
-        task = self._instrument(func, serial)
-        if serial:
+        task = _timed(func) if _obs.enabled() else None
+        if self.is_serial(len(items)):
             return self._serial_iter(func, items, context, task)
         return self._imap_ordered(func, items, context, task)
 
@@ -220,9 +163,8 @@ class ChunkScheduler:
         :meth:`imap` when results must stream to an ordered sink.
         """
         items = list(items)
-        serial = self.is_serial(len(items))
-        task = self._instrument(func, serial)
-        if serial:
+        task = _timed(func) if _obs.enabled() else None
+        if self.is_serial(len(items)):
             return (
                 (i, result)
                 for i, result in enumerate(self._serial_iter(func, items, context, task))
@@ -230,49 +172,38 @@ class ChunkScheduler:
         return self._imap_unordered(func, items, context, task)
 
     # ------------------------------------------------------------------ #
-    # backends
+    # the pool
     # ------------------------------------------------------------------ #
-    def _make_pool(self) -> concurrent.futures.Executor:
-        if self.executor_kind == "process":
-            return concurrent.futures.ProcessPoolExecutor(max_workers=self.effective_jobs)
-        return concurrent.futures.ThreadPoolExecutor(max_workers=self.effective_jobs)
+    def _make_pool(self) -> concurrent.futures.ThreadPoolExecutor:
+        return concurrent.futures.ThreadPoolExecutor(self.effective_jobs)
 
-    def _acquire_pool(self) -> Tuple[concurrent.futures.Executor, bool]:
-        """The pool for one call and whether the call owns (must tear down) it."""
-        if not self.reuse_pool:
-            return self._make_pool(), True
+    def _get_pool(self) -> concurrent.futures.ThreadPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
                 self._pool = self._make_pool()
-            return self._pool, False
+            return self._pool
 
     def close(self) -> None:
-        """Release a reused pool (no-op otherwise; the pool returns on next use)."""
+        """Cancel queued tasks, wait for running ones and release the pool."""
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
 
-    def _instrument(self, func: Callable, serial: bool) -> Optional[_TelemetryTask]:
-        """The telemetry task wrapper for one call, or ``None`` when disabled.
+    def _submitter(self, func, task) -> Callable[[Any], concurrent.futures.Future]:
+        """Submit one item to the pool, through the telemetry wrapper if any.
 
-        Serial execution records directly into the global recorder (delta
-        shipping would only copy state within one process); a process pool
-        ships per-task deltas instead.  With telemetry disabled the raw
-        ``func`` runs unwrapped — the instrumented path costs nothing.
+        With telemetry disabled the raw ``func`` runs unwrapped — the
+        instrumented path costs nothing.
         """
-        if not _obs.enabled():
-            return None
-        return _TelemetryTask(func, ship=not serial and self.executor_kind == "process")
+        pool = self._get_pool()
+        if task is None:
+            return lambda item: pool.submit(func, item)
+        return lambda item: pool.submit(task, item, time.perf_counter())
 
-    @staticmethod
-    def _unwrap(result):
-        """Merge a shipped worker delta into the global recorder, if present."""
-        if isinstance(result, _ShippedResult):
-            _obs.get_recorder().merge_snapshot(result.telemetry)
-            return result.result
-        return result
-
+    # ------------------------------------------------------------------ #
+    # execution
+    # ------------------------------------------------------------------ #
     @staticmethod
     def _wrap_error(
         exc: BaseException, index: int, item, context: Optional[ContextFn]
@@ -286,7 +217,7 @@ class ChunkScheduler:
         for index, item in enumerate(items):
             try:
                 if task is not None:
-                    yield self._unwrap(task(item, time.perf_counter()))
+                    yield task(item, time.perf_counter())
                 else:
                     yield func(item)
             except Exception as exc:
@@ -296,75 +227,47 @@ class ChunkScheduler:
                 raise wrapped from exc
 
     def _imap_ordered(self, func, items, context, task=None) -> Iterator:
-        if task is None:
-            submit = lambda item: pool.submit(func, item)  # noqa: E731
-        else:
-            submit = lambda item: pool.submit(task, item, time.perf_counter())  # noqa: E731
-        window = self.window_factor * self.effective_jobs
-        pool, owned = self._acquire_pool()
+        submit = self._submitter(func, task)
+        window = WINDOW_FACTOR * self.effective_jobs
+        pending = deque((i, items[i], submit(items[i])) for i in range(min(window, len(items))))
         try:
-            pending = deque(
-                (i, items[i], submit(items[i])) for i in range(min(window, len(items)))
-            )
-            try:
-                for i in range(window, len(items)):
-                    yield self._collect(pending.popleft(), context)
-                    pending.append((i, items[i], submit(items[i])))
-                while pending:
-                    yield self._collect(pending.popleft(), context)
-            except BaseException:
-                # a failed task (or an abandoned consumer) must not stall on
-                # the rest of the submission window: drop queued work, keep
-                # only the futures already running
-                if owned:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    for _, _, future in pending:
-                        future.cancel()
-                raise
-        finally:
-            if owned:
-                pool.shutdown(wait=True)
+            for i in range(window, len(items)):
+                yield self._collect(pending.popleft(), context)
+                pending.append((i, items[i], submit(items[i])))
+            while pending:
+                yield self._collect(pending.popleft(), context)
+        except BaseException:
+            # a failed task (or an abandoned consumer) must not stall on the
+            # rest of the submission window: drop queued work, keep only the
+            # futures already running
+            for _, _, future in pending:
+                future.cancel()
+            raise
 
     def _imap_unordered(self, func, items, context, task=None) -> Iterator[Tuple[int, Any]]:
-        pool, owned = self._acquire_pool()
+        submit = self._submitter(func, task)
+        futures = {submit(item): (i, item) for i, item in enumerate(items)}
+        pending = set(futures)
         try:
-            if task is None:
-                futures = {
-                    pool.submit(func, item): (i, item) for i, item in enumerate(items)
-                }
-            else:
-                futures = {
-                    pool.submit(task, item, time.perf_counter()): (i, item)
-                    for i, item in enumerate(items)
-                }
-            pending = set(futures)
-            try:
-                while pending:
-                    done, pending = concurrent.futures.wait(
-                        pending, return_when=concurrent.futures.FIRST_COMPLETED
-                    )
-                    for future in done:
-                        # pop: once yielded, the future (and its result) must
-                        # be collectable — a consumer that assembles results
-                        # into its own buffer should never hold two copies
-                        index, item = futures.pop(future)
-                        yield index, self._collect((index, item, future), context)
-            except BaseException:
-                if owned:
-                    pool.shutdown(wait=False, cancel_futures=True)
-                else:
-                    for future in pending:
-                        future.cancel()
-                raise
-        finally:
-            if owned:
-                pool.shutdown(wait=True)
+            while pending:
+                done, pending = concurrent.futures.wait(
+                    pending, return_when=concurrent.futures.FIRST_COMPLETED
+                )
+                for future in done:
+                    # pop: once yielded, the future (and its result) must be
+                    # collectable — a consumer that assembles results into
+                    # its own buffer should never hold two copies
+                    index, item = futures.pop(future)
+                    yield index, self._collect((index, item, future), context)
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
 
     def _collect(self, task: Tuple[int, Any, concurrent.futures.Future], context):
         index, item, future = task
         try:
-            return self._unwrap(future.result())
+            return future.result()
         except Exception as exc:
             wrapped = self._wrap_error(exc, index, item, context)
             if wrapped is exc:

@@ -7,9 +7,9 @@ on the full array and applied as an absolute bound to every block, so the
 block-parallel result satisfies exactly the same per-point guarantee as the
 single-shot compressor.
 
-Threads (rather than processes) are the default because the heavy lifting —
-NumPy ufuncs and zlib — releases the GIL; a process pool can be requested for
-workloads dominated by pure-Python stages.
+Blocks run on the shared engine's thread pool: the heavy lifting — NumPy
+ufuncs and zlib — releases the GIL.  ``jobs=1`` runs the blocks serially in
+the calling thread.
 """
 
 from __future__ import annotations
@@ -25,14 +25,9 @@ from repro.parallel.blocks import BlockSpec, plan_blocks
 from repro.parallel.engine import ChunkScheduler
 from repro.sz.errors import ErrorBound
 from repro.sz.pipeline import CompressionResult, SZCompressor
-from repro.utils.validation import ensure_array, ensure_in
+from repro.utils.validation import ensure_array
 
 __all__ = ["BlockCompressionResult", "BlockParallelCompressor"]
-
-#: Kinds the block compressor accepts.  The shared engine additionally offers
-#: ``"process"``, but the per-block closures here capture the full input array
-#: and are deliberately not picklable, so it is not exposed at this level.
-EXECUTOR_KINDS = ("thread", "serial")
 
 
 @dataclass
@@ -44,7 +39,7 @@ class BlockCompressionResult:
     compressed_nbytes: int
     abs_error_bound: float
     n_blocks: int
-    element_count: int = 0
+    element_count: int
     block_results: List[CompressionResult] = field(default_factory=list)
 
     @property
@@ -56,15 +51,10 @@ class BlockCompressionResult:
 
     @property
     def bit_rate(self) -> float:
-        """Average compressed bits per value.
-
-        Uses the stored element count; results built before the count existed
-        (``element_count == 0``) fall back to assuming 4-byte elements.
-        """
-        element_count = self.element_count or (self.original_nbytes // 4)
-        if element_count == 0:
+        """Average compressed bits per value."""
+        if self.element_count == 0:
             return 0.0
-        return 8.0 * self.compressed_nbytes / element_count
+        return 8.0 * self.compressed_nbytes / self.element_count
 
 
 class BlockParallelCompressor:
@@ -77,11 +67,10 @@ class BlockParallelCompressor:
         :class:`~repro.sz.pipeline.SZCompressor` with the Lorenzo predictor.
     block_shape:
         Block tile size; defaults to 64 along every axis.
-    max_workers:
-        Worker count for the pool (``None`` lets the executor decide).
-    executor_kind:
-        ``"thread"`` (default) or ``"serial"`` (in-process loop, useful for
-        debugging and as the reference in speedup measurements).
+    jobs:
+        Worker count: ``None`` sizes the pool to the machine, ``1`` runs the
+        in-process serial loop (useful for debugging and as the reference in
+        speedup measurements).
     """
 
     format_name = "sz-block-parallel"
@@ -90,14 +79,12 @@ class BlockParallelCompressor:
         self,
         compressor: Optional[SZCompressor] = None,
         block_shape: Optional[Sequence[int]] = None,
-        max_workers: Optional[int] = None,
-        executor_kind: str = "thread",
+        jobs: Optional[int] = None,
     ) -> None:
-        ensure_in(executor_kind, EXECUTOR_KINDS, "executor_kind")
+        ChunkScheduler(jobs=jobs)  # validates jobs eagerly
         self.compressor = compressor if compressor is not None else SZCompressor()
         self.block_shape = block_shape
-        self.max_workers = max_workers
-        self.executor_kind = executor_kind
+        self.jobs = jobs
 
     # ------------------------------------------------------------------ #
     def _resolve_block_shape(self, shape: Tuple[int, ...]) -> Tuple[int, ...]:
@@ -111,7 +98,11 @@ class BlockParallelCompressor:
     def _map(self, func, items):
         # the engine is the orchestration body; this class only plans blocks
         # and aggregates results
-        return ChunkScheduler(jobs=self.max_workers, executor_kind=self.executor_kind).map(func, items)
+        scheduler = ChunkScheduler(jobs=self.jobs)
+        try:
+            return scheduler.map(func, items)
+        finally:
+            scheduler.close()
 
     # ------------------------------------------------------------------ #
     def compress(self, data: np.ndarray, field_name: str = "") -> BlockCompressionResult:

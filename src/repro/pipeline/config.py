@@ -35,8 +35,6 @@ __all__ = ["PipelineConfigError", "FieldRule", "PipelineConfig"]
 
 PathLike = Union[str, os.PathLike]
 
-_EXECUTOR_KINDS = ("thread", "serial")
-
 _IO_BACKENDS = ("auto", "file", "mmap")
 
 
@@ -209,16 +207,12 @@ class PipelineConfig:
         against each full field, matching single-shot semantics).
     chunk_shape:
         Default chunk tile; ``None`` lets the archive writer pick 64 per axis.
-    jobs / executor_kind:
-        Worker pool for the shared chunk execution engine, used by *both*
+    jobs:
+        Worker count for the shared chunk execution engine, used by *both*
         directions: per-chunk compression on write and per-chunk decode on
         :meth:`~repro.pipeline.pipeline.CompressionPipeline.decompress` /
-        ``verify``.  ``jobs=None`` sizes the pool to the machine, ``jobs=1``
-        forces the serial reference loop; ``executor_kind`` is ``"thread"``
-        or ``"serial"``.
-    max_workers:
-        Deprecated alias for ``jobs`` (kept for configs written before the
-        engine existed); ``jobs`` wins when both are set.
+        ``verify``.  ``jobs=None`` sizes the thread pool to the machine,
+        ``jobs=1`` forces the serial reference loop.
     io_backend:
         Archive read backend for ``decompress`` / ``verify``: ``"auto"``
         (default — mmap where possible), ``"mmap"``, or ``"file"`` (see
@@ -244,8 +238,6 @@ class PipelineConfig:
     error_bound: ErrorBound = field(default_factory=lambda: ErrorBound.relative(1e-3))
     chunk_shape: Optional[Tuple[int, ...]] = None
     jobs: Optional[int] = None
-    max_workers: Optional[int] = None
-    executor_kind: str = "thread"
     io_backend: str = "auto"
     temporal: Optional[Dict] = None
     fields: Dict[str, FieldRule] = field(default_factory=dict)
@@ -264,11 +256,6 @@ class PipelineConfig:
     def rule_for(self, field_name: str) -> FieldRule:
         """The rule for ``field_name`` (an all-defaults rule when absent)."""
         return self.fields.get(field_name, FieldRule())
-
-    @property
-    def effective_jobs(self) -> Optional[int]:
-        """Engine worker count: ``jobs``, falling back to legacy ``max_workers``."""
-        return self.jobs if self.jobs is not None else self.max_workers
 
     def codec_for(self, field_name: str) -> str:
         """Effective codec registry name for ``field_name``."""
@@ -308,28 +295,21 @@ class PipelineConfig:
         unknown codec names, anchor rules that do not match their codec's
         ``requires_anchors`` declaration, anchors that are themselves anchored
         targets (the store requires anchors to decode without further
-        anchors), self-anchoring, duplicate anchors, bad executor kinds, or
+        anchors), self-anchoring, duplicate anchors, a bad ``jobs`` count, or
         non-serialisable ``attrs``.
         """
         if not isinstance(self.name, str) or not self.name:
             raise PipelineConfigError("pipeline name must be a non-empty string")
         _check_codec(self.codec, "pipeline codec")
-        if self.executor_kind not in _EXECUTOR_KINDS:
-            raise PipelineConfigError(
-                f"executor_kind must be one of {_EXECUTOR_KINDS}, got {self.executor_kind!r}"
-            )
         if self.io_backend not in _IO_BACKENDS:
             raise PipelineConfigError(
                 f"io_backend must be one of {_IO_BACKENDS}, got {self.io_backend!r}"
             )
-        for knob in ("jobs", "max_workers"):
-            value = getattr(self, knob)
-            if value is None:
-                continue
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise PipelineConfigError(f"{knob} must be an integer, got {value!r}")
-            if value < 1:
-                raise PipelineConfigError(f"{knob} must be >= 1, got {value}")
+        if self.jobs is not None:
+            if isinstance(self.jobs, bool) or not isinstance(self.jobs, int):
+                raise PipelineConfigError(f"jobs must be an integer, got {self.jobs!r}")
+            if self.jobs < 1:
+                raise PipelineConfigError(f"jobs must be >= 1, got {self.jobs}")
         if not isinstance(self.attrs, dict):
             raise PipelineConfigError(
                 f"attrs must be an object, got {type(self.attrs).__name__}"
@@ -423,14 +403,11 @@ class PipelineConfig:
             "name": self.name,
             "codec": self.codec,
             "error_bound": self.error_bound.to_dict(),
-            "executor_kind": self.executor_kind,
         }
         if self.chunk_shape is not None:
             payload["chunk_shape"] = list(self.chunk_shape)
         if self.jobs is not None:
             payload["jobs"] = int(self.jobs)
-        if self.max_workers is not None:
-            payload["max_workers"] = int(self.max_workers)
         if self.io_backend != "auto":
             # emitted only when overridden: existing configs (and the config
             # JSON archives record in their attrs) stay byte-identical
@@ -449,9 +426,25 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "PipelineConfig":
-        """Parse the dict form strictly and validate the result."""
+        """Parse the dict form strictly and validate the result.
+
+        Two retired keys are still read, because recorded configs carry them
+        (every pipeline archive stores its config in its attributes): a
+        worker count becomes ``jobs`` when ``jobs`` is absent, and a
+        ``"serial"`` backend becomes ``jobs=1`` (it always ran serially).
+        """
         if not isinstance(payload, dict):
             raise PipelineConfigError(f"config must be an object, got {type(payload).__name__}")
+        payload = dict(payload)
+        legacy_jobs = payload.pop("max_workers", None)
+        kind = payload.pop("executor_kind", "thread")
+        if kind == "serial":
+            payload["jobs"] = 1
+        elif kind != "thread":
+            raise PipelineConfigError(
+                f"config: unsupported executor_kind {kind!r}; set jobs instead "
+                "(jobs=1 runs serially)"
+            )
         _check_keys(
             payload,
             (
@@ -460,8 +453,6 @@ class PipelineConfig:
                 "error_bound",
                 "chunk_shape",
                 "jobs",
-                "max_workers",
-                "executor_kind",
                 "io_backend",
                 "temporal",
                 "fields",
@@ -488,9 +479,7 @@ class PipelineConfig:
                 else ErrorBound.relative(1e-3)
             ),
             chunk_shape=payload.get("chunk_shape"),
-            jobs=payload.get("jobs"),
-            max_workers=payload.get("max_workers"),
-            executor_kind=payload.get("executor_kind", "thread"),
+            jobs=payload.get("jobs", legacy_jobs),
             io_backend=payload.get("io_backend", "auto"),
             temporal=payload.get("temporal"),
             fields={

@@ -31,6 +31,9 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server: "ArchiveHTTPServer"
+    #: Seconds a socket read or write may block.  A keep-alive connection
+    #: idle for longer is closed, so idle clients cannot pin server threads.
+    timeout = 30
 
     def _respond(self, response: ServiceResponse) -> None:
         self.send_response(response.status)
@@ -53,8 +56,8 @@ class _ServiceRequestHandler(BaseHTTPRequestHandler):
             response = ServiceResponse.error(500, f"internal error: {exc}")
         try:
             self._respond(response)
-        except (BrokenPipeError, ConnectionResetError):  # client went away
-            pass
+        except OSError:  # client went away (reset, broken pipe or write timeout)
+            self.close_connection = True
         self.server.note_request()
 
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler naming

@@ -13,7 +13,8 @@ writer compresses through): payload I/O goes through a
 on the default mmap backend, one seek/read mutex on the file backend — codec
 decodes run outside every lock, and decoded chunks are assembled into a
 preallocated output array as they arrive, in completion order.  ``jobs=1``
-(or ``executor_kind="serial"``) restores the serial reference loop.
+restores the serial reference loop.  The reader's thread pool lives until
+:meth:`~ArchiveReader.close`.
 
 The chunk-fetch engine lives in :class:`ChunkFetcher`, shared with
 :class:`~repro.store.writer.ArchiveWriter`: the writer uses the same code to
@@ -452,9 +453,8 @@ class ArchiveReader:
         holds progressive previews.
     jobs:
         Worker count for multi-chunk reads and verification: ``None`` sizes
-        the pool to the machine, ``1`` decodes serially in the calling thread.
-    executor_kind:
-        ``"thread"`` (default — codecs release the GIL) or ``"serial"``.
+        the thread pool to the machine (codecs release the GIL), ``1``
+        decodes serially in the calling thread.
     recover:
         When the newest footer is torn (an append session crashed mid-write,
         or the file was truncated), scan backwards for the last fully flushed
@@ -491,17 +491,10 @@ class ArchiveReader:
         path: PathLike,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         jobs: Optional[int] = None,
-        executor_kind: str = "thread",
         recover: bool = False,
         backend: str = "auto",
         shared_cache: Union[None, bool, SharedChunkCache] = None,
     ) -> None:
-        if executor_kind == "process":
-            # chunk fetches close over the reader's byte store and cache
-            raise ValueError(
-                "archive reads support executor_kind 'thread' or 'serial' "
-                "(chunk fetches share one byte store and cache)"
-            )
         if shared_cache is True:
             shared: Optional[SharedChunkCache] = process_chunk_cache()
         elif isinstance(shared_cache, SharedChunkCache):
@@ -512,9 +505,7 @@ class ArchiveReader:
             raise ValueError(
                 "shared_cache must be None, a bool, or a SharedChunkCache instance"
             )
-        # reuse_pool: region reads are many-small-batches; per-call pool
-        # construction would rival the decode cost of a few-chunk read
-        self._scheduler = ChunkScheduler(jobs=jobs, executor_kind=executor_kind, reuse_pool=True)
+        self._scheduler = ChunkScheduler(jobs=jobs)
         self.path = Path(path)
         self._closed = False
         self._store: Optional[ByteStore] = open_bytestore(self.path, backend)

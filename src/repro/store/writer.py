@@ -100,9 +100,11 @@ class ArchiveWriter:
         Default error bound for lossy codecs.
     chunk_shape:
         Default chunk tile; ``None`` uses 64 along every axis (clamped).
-    max_workers / executor_kind:
-        Worker-pool configuration for per-chunk compression, identical to
-        :class:`~repro.parallel.executor.BlockParallelCompressor`.
+    jobs:
+        Worker count for per-chunk compression: ``None`` sizes the thread
+        pool to the machine, ``1`` encodes serially in the calling thread.
+        The pool is created on the first parallel :meth:`add_field` and
+        released by :meth:`close` (or an exception inside ``with``).
     attrs:
         Free-form JSON-serialisable archive attributes (provenance, units, …).
         In append mode they are merged into the existing attributes.
@@ -131,8 +133,7 @@ class ArchiveWriter:
         codec: str = "sz",
         error_bound: ErrorBound = ErrorBound.relative(1e-3),
         chunk_shape: Optional[Sequence[int]] = None,
-        max_workers: Optional[int] = None,
-        executor_kind: str = "thread",
+        jobs: Optional[int] = None,
         attrs: Optional[Dict] = None,
         mode: str = "w",
         recover: bool = False,
@@ -146,16 +147,8 @@ class ArchiveWriter:
         self.default_codec = codec
         self.default_error_bound = error_bound
         self.default_chunk_shape = tuple(int(c) for c in chunk_shape) if chunk_shape else None
-        self.max_workers = max_workers
-        self.executor_kind = executor_kind
-        if executor_kind == "process":
-            # chunk encodes close over the input array and the shared fetcher
-            raise ValueError(
-                "archive writes support executor_kind 'thread' or 'serial' "
-                "(chunk encodes share one file handle and anchor cache)"
-            )
-        # validates jobs/kind eagerly, before any file is created
-        self._scheduler = ChunkScheduler(jobs=max_workers, executor_kind=executor_kind)
+        # validates jobs eagerly, before any file is created
+        self._scheduler = ChunkScheduler(jobs=jobs)
         attrs = dict(attrs or {})
         try:
             # sort_keys matches the manifest serialization in flush(), so
@@ -332,6 +325,7 @@ class ArchiveWriter:
             self._rollback()
             raise
         finally:
+            self._scheduler.close()
             self._fetcher = None  # release the anchor-chunk cache with the handle
             self._closed = True
         return self.path
@@ -360,9 +354,12 @@ class ArchiveWriter:
             self.close()
         else:
             # Mark the writer closed so a later close() cannot publish the
-            # incomplete state, then roll back to the last durable point.
+            # incomplete state, wait out chunk encodes still running (they
+            # may read anchors through the file handle), then roll back to
+            # the last durable point.
             self._closed = True
             self._aborted = True
+            self._scheduler.close()
             self._rollback()
             self._fetcher = None
 

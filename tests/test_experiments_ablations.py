@@ -39,7 +39,7 @@ class TestAblations:
         assert ratios["huffman+zlib"] >= ratios["raw+raw"]
 
     def test_parallel_block_ablation(self):
-        result = run_parallel_block_ablation("smoke", block_size=32, max_workers=2)
+        result = run_parallel_block_ablation("smoke", block_size=32, jobs=2)
         configs = result.column("configuration")
         assert "single-shot" in configs
         assert any("blocks" in c for c in configs)

@@ -1,5 +1,7 @@
 """Unit and integration tests for block-parallel compression."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -40,8 +42,7 @@ class TestBlockParallelCompressor:
         parallel = BlockParallelCompressor(
             compressor=SZCompressor(error_bound=ErrorBound.relative(1e-3)),
             block_shape=(24, 24),
-            executor_kind=kind,
-            max_workers=3,
+            jobs={"serial": 1, "thread": 3}[kind],
         )
         result = parallel.compress(data, field_name="FLNT")
         recon = parallel.decompress(result.payload)
@@ -83,8 +84,8 @@ class TestBlockParallelCompressor:
         assert result.n_blocks >= 1
 
     def test_invalid_executor(self):
-        with pytest.raises(ValueError):
-            BlockParallelCompressor(executor_kind="gpu")
+        with pytest.raises(ValueError, match="jobs"):
+            BlockParallelCompressor(jobs=0)
 
     def test_wrong_payload_rejected(self, cesm_small):
         single = SZCompressor().compress(cesm_small["LWCF"].data)
@@ -110,14 +111,13 @@ class TestBlockParallelCompressor:
         # while the old nbytes // 4 accounting would have halved the f64 rate
         assert abs(r64.bit_rate - r32.bit_rate) < 0.5 * r32.bit_rate
 
-    def test_bit_rate_legacy_fallback(self):
-        from repro.parallel import BlockCompressionResult
-
-        legacy = BlockCompressionResult(
-            payload=b"x" * 100,
-            original_nbytes=400,
-            compressed_nbytes=100,
-            abs_error_bound=0.1,
-            n_blocks=1,
-        )
-        assert legacy.bit_rate == 8.0  # falls back to 4-byte elements
+    def test_serial_and_threaded_payloads_match_and_pool_is_released(self, cesm_small):
+        data = cesm_small["FLNT"].data
+        before = set(threading.enumerate())
+        payloads = [
+            BlockParallelCompressor(block_shape=(16, 16), jobs=jobs).compress(data).payload
+            for jobs in (1, 3)
+        ]
+        assert payloads[0] == payloads[1]
+        # the compressor closes its scheduler after every call
+        assert set(threading.enumerate()) - before == set()

@@ -5,30 +5,21 @@ import time
 
 import pytest
 
-from repro.parallel import ChunkScheduler, ChunkTaskError, SCHEDULER_KINDS, default_jobs
+from repro.parallel import ChunkScheduler, ChunkTaskError, default_jobs
+
+#: The two execution paths: the serial reference loop and the thread pool.
+JOBS = {"serial": 1, "thread": 4}
 
 
 def _square(x):
-    # module-level so the process backend can pickle it
     return x * x
 
 
 class TestConstruction:
-    def test_invalid_kind(self):
-        with pytest.raises(ValueError, match="executor_kind"):
-            ChunkScheduler(executor_kind="gpu")
-
     @pytest.mark.parametrize("jobs", [0, -1, 1.5, True])
     def test_invalid_jobs(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             ChunkScheduler(jobs=jobs)
-
-    def test_invalid_window_factor(self):
-        with pytest.raises(ValueError, match="window_factor"):
-            ChunkScheduler(window_factor=0)
-
-    def test_kinds_exported(self):
-        assert set(SCHEDULER_KINDS) == {"thread", "process", "serial"}
 
     def test_effective_jobs(self):
         assert ChunkScheduler(jobs=3).effective_jobs == 3
@@ -38,7 +29,7 @@ class TestConstruction:
 class TestOrderedCollection:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_map_preserves_order(self, kind):
-        scheduler = ChunkScheduler(jobs=4, executor_kind=kind)
+        scheduler = ChunkScheduler(jobs=JOBS[kind])
         items = list(range(40))
         assert scheduler.map(_square, items) == [x * x for x in items]
 
@@ -63,15 +54,11 @@ class TestOrderedCollection:
         assert len(submitted) <= 4
         assert list(gen) == list(range(1, 50))
 
-    def test_process_backend_round_trip(self):
-        scheduler = ChunkScheduler(jobs=2, executor_kind="process")
-        assert scheduler.map(_square, range(8)) == [x * x for x in range(8)]
-
 
 class TestUnorderedCollection:
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_yields_every_indexed_result(self, kind):
-        scheduler = ChunkScheduler(jobs=4, executor_kind=kind)
+        scheduler = ChunkScheduler(jobs=JOBS[kind])
         pairs = list(scheduler.imap_unordered(_square, [3, 1, 4, 1, 5, 9]))
         assert sorted(pairs) == [(0, 9), (1, 1), (2, 16), (3, 1), (4, 25), (5, 81)]
 
@@ -112,14 +99,13 @@ class TestSerialFallback:
 
     def test_is_serial(self):
         assert ChunkScheduler(jobs=1).is_serial()
-        assert ChunkScheduler(executor_kind="serial").is_serial()
         assert not ChunkScheduler(jobs=2).is_serial()
         assert ChunkScheduler(jobs=2).is_serial(n_tasks=1)
 
 
 class TestPoolReuse:
     def test_pool_survives_calls_and_close_is_idempotent(self):
-        scheduler = ChunkScheduler(jobs=2, reuse_pool=True)
+        scheduler = ChunkScheduler(jobs=2)
         try:
             assert scheduler.map(_square, range(8)) == [x * x for x in range(8)]
             pool = scheduler._pool
@@ -142,7 +128,7 @@ class TestPoolReuse:
                 raise ValueError("bad chunk")
             return x
 
-        scheduler = ChunkScheduler(jobs=2, reuse_pool=True)
+        scheduler = ChunkScheduler(jobs=2)
         try:
             with pytest.raises(ValueError, match="bad chunk"):
                 scheduler.map(boom, range(20))
@@ -150,10 +136,21 @@ class TestPoolReuse:
         finally:
             scheduler.close()
 
-    def test_default_scheduler_owns_no_pool(self):
-        scheduler = ChunkScheduler(jobs=2)
+    def test_serial_scheduler_creates_no_pool(self):
+        scheduler = ChunkScheduler(jobs=1)
         scheduler.map(_square, range(4))
-        assert scheduler._pool is None  # per-call pools only
+        assert scheduler._pool is None
+        parallel = ChunkScheduler(jobs=2)
+        parallel.map(_square, [3])  # one task short-circuits to serial too
+        assert parallel._pool is None
+
+    def test_close_joins_every_worker_thread(self):
+        before = set(threading.enumerate())
+        scheduler = ChunkScheduler(jobs=3)
+        assert scheduler.map(_square, range(12)) == [x * x for x in range(12)]
+        assert set(threading.enumerate()) - before  # the pool outlives the call
+        scheduler.close()
+        assert set(threading.enumerate()) - before == set()
 
 
 class TestErrorPropagation:
@@ -165,13 +162,13 @@ class TestErrorPropagation:
 
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_without_context_raises_raw(self, kind):
-        scheduler = ChunkScheduler(jobs=2, executor_kind=kind)
+        scheduler = ChunkScheduler(jobs=JOBS[kind])
         with pytest.raises(ValueError, match="bad payload"):
             scheduler.map(self._boom, range(8))
 
     @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_context_wraps_with_chunk_coordinates(self, kind):
-        scheduler = ChunkScheduler(jobs=2, executor_kind=kind)
+        scheduler = ChunkScheduler(jobs=JOBS[kind])
         with pytest.raises(ChunkTaskError, match=r"field 'T' chunk 3: bad payload") as excinfo:
             scheduler.map(
                 self._boom, range(8), context=lambda i, item: f"field 'T' chunk {i}"

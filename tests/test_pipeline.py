@@ -79,8 +79,12 @@ class TestCompress:
         assert attrs["pipeline"] == "mixed"
         assert attrs["run"] == "unit-test"
         assert attrs["pipeline_config"]["fields"]["FLNTC"]["codec"] == "zfp"
-        # the recorded config parses and validates as-is
-        assert PipelineConfig.from_dict(attrs["pipeline_config"]).name == "mixed"
+        # the recorded config parses, validates and round-trips as-is, and
+        # records only jobs as its parallelism setting
+        recorded = attrs["pipeline_config"]
+        assert PipelineConfig.from_dict(recorded).name == "mixed"
+        assert PipelineConfig.from_dict(recorded).to_dict() == recorded
+        assert "executor_kind" not in recorded and "max_workers" not in recorded
 
     def test_decompress_works_without_config(self, mixed_archive, cesm):
         _, path, _ = mixed_archive

@@ -15,8 +15,6 @@ def _full_config() -> PipelineConfig:
         error_bound=ErrorBound.relative(1e-3),
         chunk_shape=(8, 16, 16),
         jobs=3,
-        max_workers=2,
-        executor_kind="thread",
         temporal={"mode": "delta", "anchor_every": 6},
         fields={
             "Wf": FieldRule(
@@ -69,15 +67,47 @@ class TestRoundTrip:
 
     def test_jobs_round_trips_and_wins_over_max_workers(self):
         config = _full_config()
-        assert config.jobs == 3 and config.max_workers == 2
-        assert config.effective_jobs == 3  # jobs wins when both are set
         restored = PipelineConfig.from_json(config.to_json())
-        assert restored.jobs == 3 and restored.max_workers == 2
+        assert restored.jobs == 3
+        # a recorded config carrying both keys: jobs wins
+        payload = dict(config.to_dict(), max_workers=2)
+        assert PipelineConfig.from_dict(payload).jobs == 3
 
     def test_effective_jobs_falls_back_to_legacy_max_workers(self):
-        assert PipelineConfig(max_workers=5).effective_jobs == 5
-        assert PipelineConfig().effective_jobs is None
-        assert PipelineConfig(jobs=1).effective_jobs == 1
+        assert PipelineConfig.from_dict({"max_workers": 5}).jobs == 5
+        assert PipelineConfig.from_dict({}).jobs is None
+        assert PipelineConfig.from_dict({"jobs": 1}).jobs == 1
+
+
+class TestRetiredKeys:
+    """Configs recorded before ``jobs`` became the only parallelism setting."""
+
+    @pytest.mark.parametrize(
+        "recorded, jobs",
+        [
+            ({"executor_kind": "thread", "max_workers": 2}, 2),
+            ({"executor_kind": "thread"}, None),
+            ({"executor_kind": "serial"}, 1),
+            ({"executor_kind": "serial", "jobs": 4}, 1),
+        ],
+    )
+    def test_read_as_jobs_and_never_written(self, recorded, jobs):
+        config = PipelineConfig.from_dict(recorded)
+        assert config.jobs == jobs
+        payload = config.to_dict()
+        assert "executor_kind" not in payload and "max_workers" not in payload
+        assert PipelineConfig.from_dict(payload).to_dict() == payload
+
+    @pytest.mark.parametrize("kind", ["process", "fork", 3])
+    def test_other_backends_rejected(self, kind):
+        with pytest.raises(PipelineConfigError, match="executor_kind"):
+            PipelineConfig.from_dict({"executor_kind": kind})
+
+    def test_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            PipelineConfig(max_workers=2)  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            PipelineConfig(executor_kind="thread")  # type: ignore[call-arg]
 
 
 class TestValidationErrors:
@@ -103,11 +133,12 @@ class TestValidationErrors:
 
     def test_bad_executor_kind(self):
         with pytest.raises(PipelineConfigError, match="executor_kind"):
-            PipelineConfig(executor_kind="fork").validate()
+            PipelineConfig.from_dict({"executor_kind": "fork"})
 
     def test_bad_max_workers(self):
-        with pytest.raises(PipelineConfigError, match="max_workers"):
-            PipelineConfig(max_workers=0).validate()
+        # the retired worker count is read as jobs, and validated as jobs
+        with pytest.raises(PipelineConfigError, match="jobs"):
+            PipelineConfig.from_dict({"max_workers": 0})
 
     def test_bad_jobs(self):
         with pytest.raises(PipelineConfigError, match="jobs"):
@@ -194,7 +225,7 @@ class TestValidationErrors:
 
     def test_non_integer_max_workers(self):
         with pytest.raises(PipelineConfigError, match="integer"):
-            PipelineConfig(max_workers=2.5).validate()
+            PipelineConfig.from_dict({"max_workers": 2.5})
         with pytest.raises(PipelineConfigError, match="integer"):
             PipelineConfig.from_dict({"max_workers": "two"})
 

@@ -9,6 +9,7 @@ transport level.
 
 import io
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -173,6 +174,21 @@ class TestStdlibServer:
             server.server_close()
             thread.join(timeout=5)
             service.close()
+
+    def test_idle_connection_is_closed_and_server_keeps_serving(self, monkeypatch, served):
+        from repro.serve.http import _ServiceRequestHandler
+
+        # idle connections are bounded by default (the stdlib default is none)
+        assert 0 < _ServiceRequestHandler.timeout <= 60
+        monkeypatch.setattr(_ServiceRequestHandler, "timeout", 0.2)
+        url, _ = served
+        host, port = url.split("://", 1)[1].rsplit(":", 1)
+        with socket.create_connection((host, int(port)), timeout=5) as idle:
+            start = time.perf_counter()
+            assert idle.recv(1) == b""  # the server hung up on the silent client
+            assert time.perf_counter() - start < 4
+        status, body, _ = http_get(url + "/healthz")
+        assert status == 200 and body
 
     def test_max_requests_stops_server(self, snapshot_archive):
         path, _ = snapshot_archive

@@ -1,10 +1,12 @@
 """Integration tests for the chunked archive store (writer, reader, cache)."""
 
+import threading
 import zlib
 
 import numpy as np
 import pytest
 
+from repro.parallel import ChunkScheduler
 from repro.store import (
     ArchiveCorruptionError,
     ArchiveError,
@@ -237,9 +239,9 @@ class TestWriterValidation:
     def test_serial_executor_matches_thread(self, tmp_path, cesm_small):
         data = cesm_small["CLDTOT"].data
         paths = []
-        for kind in ("serial", "thread"):
-            path = tmp_path / f"{kind}.xfa"
-            with ArchiveWriter(path, chunk_shape=(24, 24), executor_kind=kind) as writer:
+        for jobs in (1, 4):
+            path = tmp_path / f"jobs{jobs}.xfa"
+            with ArchiveWriter(path, chunk_shape=(24, 24), jobs=jobs) as writer:
                 writer.add_field("CLDTOT", data)
             paths.append(path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -249,11 +251,9 @@ class TestWriterValidation:
         # appends (main thread) on one file handle; output must still be
         # byte-identical to the serial reference
         paths = []
-        for kind in ("serial", "thread"):
-            path = tmp_path / f"{kind}.xfa"
-            with ArchiveWriter(
-                path, chunk_shape=(16, 16), executor_kind=kind, max_workers=4
-            ) as writer:
+        for jobs in (1, 4):
+            path = tmp_path / f"jobs{jobs}.xfa"
+            with ArchiveWriter(path, chunk_shape=(16, 16), jobs=jobs) as writer:
                 writer.add_field("CLDLOW", cesm_small["CLDLOW"].data)
                 writer.add_field(
                     "CLDTOT",
@@ -267,6 +267,52 @@ class TestWriterValidation:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def _pool_threads():
+    return {t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor")}
+
+
+class TestWriterPool:
+    """One writer owns one thread pool, and close() (or an abort) joins it."""
+
+    @pytest.fixture()
+    def pools_made(self, monkeypatch):
+        made = []
+        original = ChunkScheduler._make_pool
+
+        def counting(self):
+            pool = original(self)
+            made.append(pool)
+            return pool
+
+        monkeypatch.setattr(ChunkScheduler, "_make_pool", counting)
+        return made
+
+    def _add_three(self, writer, rng):
+        for name in ("a", "b", "c"):
+            writer.add_field(name, rng.normal(size=(32, 48)))
+
+    def test_one_pool_for_all_fields_joined_on_close(self, tmp_path, rng, pools_made):
+        before = _pool_threads()
+        with ArchiveWriter(tmp_path / "a.xfa", chunk_shape=(16, 16), jobs=2) as writer:
+            self._add_three(writer, rng)
+            assert _pool_threads() - before  # the pool lives across add_field calls
+        assert len(pools_made) == 1
+        assert _pool_threads() - before == set()
+        with ArchiveReader(tmp_path / "a.xfa", jobs=1) as reader:
+            assert reader.names == ["a", "b", "c"]
+
+    def test_pool_joined_when_add_field_raises(self, tmp_path, rng, pools_made):
+        before = _pool_threads()
+        with pytest.raises(ArchiveError, match="anchor"):
+            with ArchiveWriter(tmp_path / "b.xfa", chunk_shape=(16, 16), jobs=2) as writer:
+                self._add_three(writer, rng)
+                writer.add_field("d", rng.normal(size=(32, 48)), codec="cross-field",
+                                 anchors=("missing",))
+        assert len(pools_made) == 1
+        assert _pool_threads() - before == set()
+        assert not (tmp_path / "b.xfa").exists()
+
+
 class TestParallelReads:
     def test_jobs_one_matches_parallel(self, archive):
         with ArchiveReader(archive, jobs=1) as serial, ArchiveReader(archive) as parallel:
@@ -278,16 +324,9 @@ class TestParallelReads:
             )
 
     def test_serial_executor_kind_matches_thread(self, archive):
-        with ArchiveReader(archive, executor_kind="serial") as serial:
-            with ArchiveReader(archive, executor_kind="thread", jobs=4) as threaded:
+        with ArchiveReader(archive, jobs=1) as serial:
+            with ArchiveReader(archive, jobs=4) as threaded:
                 assert np.array_equal(serial.read_field("LWCF"), threaded.read_field("LWCF"))
-
-    def test_process_kind_rejected(self, archive, tmp_path):
-        with pytest.raises(ValueError, match="thread"):
-            ArchiveReader(archive, executor_kind="process")
-        # the writer rejects it eagerly too (encodes are not picklable)
-        with pytest.raises(ValueError, match="thread"):
-            ArchiveWriter(tmp_path / "a.xfa", executor_kind="process")
 
     def test_parallel_verify_matches_serial(self, archive):
         with ArchiveReader(archive, jobs=1) as serial:
